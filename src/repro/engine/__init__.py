@@ -38,7 +38,6 @@ from .core import GramEngine
 from .executors import EngineAborted
 from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
 from .offload import AsyncOffloader
-from .pipeline import run_tiles_pipelined
 from .progress import Diagnostics, ProgressAggregator, ProgressEvent
 from .supervisor import SupervisedPool, SupervisorStats, run_tiles_supervised
 from .tiles import (
@@ -74,6 +73,5 @@ __all__ = [
     "pair_key",
     "plan_bucketed_tiles",
     "plan_tiles",
-    "run_tiles_pipelined",
     "run_tiles_supervised",
 ]

@@ -228,15 +228,11 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
 def _thread_workspace(bucket=None):
     """The calling thread's assembly workspace for ``bucket``.
 
-    Keyed by (thread, bucket shape): each executor/pipeline thread
-    keeps one grow-only workspace *per bucket shape*, so a fill stage
-    running on a dedicated pipeline thread reuses the same stacked
-    buffers tile after tile instead of re-growing one shared workspace
-    every time dense and sparse buckets alternate.  Buffer contents are
-    zeroed on checkout, so keying never changes numerics.  ``bucket``
-    may be any hashable — the pipelined fill stage keys by
-    (bucket shape, rotation slot) to keep in-flight systems' buffers
-    exclusive (see :func:`fill_bucket`).
+    Keyed by (thread, bucket shape): each executor thread keeps one
+    grow-only workspace *per bucket shape*, so the stacked buffers are
+    reused tile after tile instead of re-growing one shared workspace
+    every time dense and sparse buckets alternate.  Buffer contents
+    are zeroed on checkout, so keying never changes numerics.
     """
     from ..kernels.linsys import BatchWorkspace
 
@@ -249,33 +245,16 @@ def _thread_workspace(bucket=None):
     return ws
 
 
-@dataclass
-class BucketTask:
-    """One shape bucket of a tile, threaded through plan → fill → solve.
-
-    This is the unit of work the pipelined executor overlaps across
-    threads; the barrier path runs the same three stage functions
-    back-to-back.  ``solo`` tasks skip the plan/fill stages entirely
-    (the per-pair fallback is the whole body).
-    """
-
-    key: tuple[str, int]
-    members: list
-    solo: bool = False
-    skey: str | None = None
-    plan: object | None = None
-    system: object | None = None
-
-
 def bucket_tasks(
     kernel, X, Y, pairs: Sequence[tuple[int, int]],
     runtime: BatchRuntime | None = None,
-) -> list[BucketTask]:
-    """Group a tile's pairs into per-bucket stage tasks.
+) -> list[tuple[tuple[str, int], list[tuple[int, int]], bool]]:
+    """Group a tile's pairs into shape buckets: ``(key, members, solo)``.
 
     Bucket order (sorted keys) and member order (input order) are both
-    deterministic — the barrier and pipelined paths iterate the same
-    list, which is what keeps their outcome streams identical.
+    deterministic, so every executor solves identical buckets.
+    ``solo`` buckets skip batching: a singleton has nothing to
+    amortize, and compute-bound giants are as fast per pair.
     """
     from ..kernels.linsys import BATCH_SPARSE_MAX, pair_bucket
 
@@ -287,122 +266,8 @@ def bucket_tasks(
             key = ("sparse", BATCH_SPARSE_MAX)
         buckets.setdefault(key, []).append((i, j))
     return [
-        BucketTask(
-            key=key,
-            members=buckets[key],
-            # Nothing to amortize (singleton) or compute-bound giants:
-            # the per-pair path is as fast or faster.
-            solo=len(buckets[key]) < 2 or key[0] == "solo",
-        )
+        (key, buckets[key], len(buckets[key]) < 2 or key[0] == "solo")
         for key in sorted(buckets)
-    ]
-
-
-def plan_bucket(
-    task: BucketTask, X, Y, runtime: BatchRuntime | None = None
-) -> BucketTask:
-    """Stage 1: the bucket's structural plan (cache-served or built)."""
-    from ..kernels.linsys import build_structure_plan
-
-    cache = runtime.structure_cache if runtime is not None else None
-    warm = runtime.warm_store if runtime is not None else None
-    rcm_cutoff = runtime.rcm_cutoff if runtime is not None else None
-    pair_graphs = [(X[i], Y[j]) for i, j in task.members]
-    if cache is not None or warm is not None:
-        task.skey = structure_key(pair_graphs, task.key, rcm_cutoff)
-    tracer = get_tracer()
-    with tracer.span("tile.plan", mode=task.key[0],
-                     n_pairs=len(task.members)) as sp:
-        plan = None
-        if cache is not None:
-            plan = cache.get(task.skey)
-            runtime.record(plan is not None)
-            sp.set("structure_hit", plan is not None)
-        if plan is None:
-            plan = build_structure_plan(
-                pair_graphs, mode=task.key[0], rcm_cutoff=rcm_cutoff
-            )
-            if cache is not None:
-                cache.put(task.skey, plan)
-    task.plan = plan
-    return task
-
-
-def fill_bucket(
-    task: BucketTask, kernel, runtime: BatchRuntime | None = None,
-    ws_slot: int = 0,
-) -> BucketTask:
-    """Stage 2: numeric fill into the calling thread's workspace.
-
-    ``ws_slot`` selects among rotating workspaces on the calling
-    thread: the filled system *aliases* workspace buffers, so a fill
-    stage running ahead of the solve (the pipelined executor) must not
-    reuse a workspace until the system filled from it has retired.  The
-    barrier path, which finishes each system before the next fill,
-    always uses slot 0.
-    """
-    from ..kernels.linsys import fill_batched_system
-
-    cache = runtime.structure_cache if runtime is not None else None
-    tracer = get_tracer()
-    with tracer.span("tile.fill", mode=task.key[0],
-                     n_pairs=len(task.members)):
-        task.system = fill_batched_system(
-            task.plan,
-            kernel.node_kernel,
-            kernel.edge_kernel,
-            q=kernel.q,
-            workspace=_thread_workspace((task.key, ws_slot)),
-            reuse_offdiag=cache is not None,
-        )
-    return task
-
-
-def solve_bucket(
-    task: BucketTask, kernel, X, Y,
-    runtime: BatchRuntime | None = None,
-    step_hook=None, step_chunk: int = 32,
-) -> list[PairOutcome]:
-    """Stage 3: the batched solve (or the per-pair solo fallback).
-
-    ``step_hook``/``step_chunk`` thread through to the resumable
-    batched solve: the pipelined executor uses them to stay responsive
-    between CG iteration chunks without changing any numerics.
-    """
-    from ..solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
-
-    tracer = get_tracer()
-    if task.solo:
-        with tracer.span("tile.solve", mode="solo",
-                         n_pairs=len(task.members)):
-            return solve_pairs(kernel, X, Y, task.members)
-    solve = batched_pcg_solve if kernel.solver == "pcg" else batched_cg_solve
-    kwargs = {"rtol": kernel.rtol}
-    if kernel.max_iter is not None:
-        kwargs["max_iter"] = kernel.max_iter
-    if step_hook is not None:
-        kwargs["step_hook"] = step_hook
-        kwargs["step_chunk"] = step_chunk
-    warm = runtime.warm_store if runtime is not None else None
-    system = task.system
-    with tracer.span("tile.solve", mode=task.key[0],
-                     n_pairs=len(task.members)) as sp:
-        x0 = r0 = None
-        if warm is not None:
-            x0, r0 = _seed_warm_start(
-                warm, task.skey, system, rtol=kernel.rtol
-            )
-            sp.set("warm_seeded", x0 is not None)
-        res = solve(system, x0=x0, r0=r0, **kwargs)
-        if warm is not None:
-            # res.x is freshly allocated per solve — safe to retain.
-            warm.put(task.skey, res.x)
-        sp.set("iterations", int(res.iterations.sum()))
-    values = system.kernel_values(res.x)
-    return [
-        (i, j, float(values[b]), int(res.iterations[b]),
-         bool(res.converged[b]), float(res.residual_norms[b]))
-        for b, (i, j) in enumerate(task.members)
     ]
 
 
@@ -414,12 +279,14 @@ def solve_pairs_batched(
 
     Pairs are grouped into shape buckets (tiles planned by
     :func:`~repro.engine.tiles.plan_bucketed_tiles` arrive bucket-pure
-    already; arbitrary pair lists still work), each bucket is assembled
-    into one :class:`~repro.kernels.linsys.BatchedProductSystem`, and
-    the batched PCG/CG advances all of its pairs per iteration.
-    Oddball work falls back to the per-pair body: singleton buckets
-    (nothing to amortize) and solvers the batched path does not
-    vectorize.
+    already; arbitrary pair lists still work).  Each bucket runs three
+    traced stages back to back: ``tile.plan`` (its structural plan),
+    ``tile.fill`` (the numeric fill into one
+    :class:`~repro.kernels.linsys.BatchedProductSystem`), and
+    ``tile.solve`` (the batched PCG/CG advancing all of its pairs per
+    iteration).  Oddball work falls back to the per-pair body: solo
+    buckets (see :func:`bucket_tasks`) and solvers the batched path
+    does not vectorize.
 
     With a :class:`BatchRuntime`, each bucket's structural plan is
     served from the structure cache (topology skipped entirely on a
@@ -427,19 +294,72 @@ def solve_pairs_batched(
     solver is warm-started from the warm store's previous solutions.
     The fallback paths (solo/singleton/non-batchable) bypass both by
     design: they are per-pair and compute-bound.
-
-    This barrier body runs the same :func:`plan_bucket` /
-    :func:`fill_bucket` / :func:`solve_bucket` stage functions the
-    pipelined executor overlaps — one code path, two schedules.
     """
     if kernel.solver not in BATCHED_SOLVERS:
         return solve_pairs(kernel, X, Y, pairs)
+    from ..kernels.linsys import build_structure_plan, fill_batched_system
+    from ..solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
+
+    cache = runtime.structure_cache if runtime is not None else None
+    warm = runtime.warm_store if runtime is not None else None
+    rcm_cutoff = runtime.rcm_cutoff if runtime is not None else None
+    solve = batched_pcg_solve if kernel.solver == "pcg" else batched_cg_solve
+    kwargs = {"rtol": kernel.rtol}
+    if kernel.max_iter is not None:
+        kwargs["max_iter"] = kernel.max_iter
+    tracer = get_tracer()
     out: list[PairOutcome] = []
-    for task in bucket_tasks(kernel, X, Y, pairs, runtime):
-        if not task.solo:
-            plan_bucket(task, X, Y, runtime)
-            fill_bucket(task, kernel, runtime)
-        out.extend(solve_bucket(task, kernel, X, Y, runtime))
+    for key, members, solo in bucket_tasks(kernel, X, Y, pairs, runtime):
+        if solo:
+            with tracer.span("tile.solve", mode="solo",
+                             n_pairs=len(members)):
+                out.extend(solve_pairs(kernel, X, Y, members))
+            continue
+        pair_graphs = [(X[i], Y[j]) for i, j in members]
+        skey = None
+        if cache is not None or warm is not None:
+            skey = structure_key(pair_graphs, key, rcm_cutoff)
+        with tracer.span("tile.plan", mode=key[0],
+                         n_pairs=len(members)) as sp:
+            plan = None
+            if cache is not None:
+                plan = cache.get(skey)
+                runtime.record(plan is not None)
+                sp.set("structure_hit", plan is not None)
+            if plan is None:
+                plan = build_structure_plan(
+                    pair_graphs, mode=key[0], rcm_cutoff=rcm_cutoff
+                )
+                if cache is not None:
+                    cache.put(skey, plan)
+        with tracer.span("tile.fill", mode=key[0], n_pairs=len(members)):
+            system = fill_batched_system(
+                plan,
+                kernel.node_kernel,
+                kernel.edge_kernel,
+                q=kernel.q,
+                workspace=_thread_workspace(key),
+                reuse_offdiag=cache is not None,
+            )
+        with tracer.span("tile.solve", mode=key[0],
+                         n_pairs=len(members)) as sp:
+            x0 = r0 = None
+            if warm is not None:
+                x0, r0 = _seed_warm_start(
+                    warm, skey, system, rtol=kernel.rtol
+                )
+                sp.set("warm_seeded", x0 is not None)
+            res = solve(system, x0=x0, r0=r0, **kwargs)
+            if warm is not None:
+                # res.x is freshly allocated per solve — safe to retain.
+                warm.put(skey, res.x)
+            sp.set("iterations", int(res.iterations.sum()))
+        values = system.kernel_values(res.x)
+        out.extend(
+            (i, j, float(values[b]), int(res.iterations[b]),
+             bool(res.converged[b]), float(res.residual_norms[b]))
+            for b, (i, j) in enumerate(members)
+        )
     return out
 
 

@@ -1,7 +1,7 @@
 """Async offload of cold-path work: one daemon thread, bounded queue.
 
-The pipelined engine keeps its hot threads (plan / fill / solve) free
-of disk traffic by pushing spill work — structure-plan pickles, Gram
+The engine keeps its tile loop (plan / fill / solve) free of disk
+traffic by pushing spill work — structure-plan pickles, Gram
 block writes, warm-start history spills — onto an
 :class:`AsyncOffloader`.  The queue is bounded: a producer that
 outruns the disk blocks briefly instead of buffering without limit

@@ -49,9 +49,8 @@ class ProgressEvent:
 class ProgressAggregator:
     """Serialize, order, and monotonize tile progress events.
 
-    The engine's executors complete tiles concurrently: the threads pool
-    yields in completion order, and the pipelined path's stage threads
-    can finish bookkeeping while the consumer is mid-solve.  Handing
+    The engine's executors complete tiles concurrently: the thread and
+    process pools yield in completion order, not plan order.  Handing
     those events straight to a user callback has two failure modes:
 
     * **interleaving** — two events in flight at once reach a callback

@@ -66,8 +66,6 @@ def batched_pcg_solve(
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
     r0: np.ndarray | None = None,
-    step_hook=None,
-    step_chunk: int = 32,
 ) -> BatchedSolveResult:
     """Diagonal-PCG over every pair of a bucket with masked convergence.
 
@@ -88,8 +86,7 @@ def batched_pcg_solve(
     CG's own residual drift); ignored when ``x0`` is None.
     """
     return _batched_krylov(system, rtol, atol, max_iter, precondition=True,
-                           x0=x0, r0=r0, step_hook=step_hook,
-                           step_chunk=step_chunk)
+                           x0=x0, r0=r0)
 
 
 def batched_cg_solve(
@@ -99,14 +96,11 @@ def batched_cg_solve(
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
     r0: np.ndarray | None = None,
-    step_hook=None,
-    step_chunk: int = 32,
 ) -> BatchedSolveResult:
     """Unpreconditioned batched CG (mirrors :func:`repro.solvers.cg.
     cg_solve`, including its ``max(64, 4N)`` default iteration cap)."""
     return _batched_krylov(system, rtol, atol, max_iter, precondition=False,
-                           x0=x0, r0=r0, step_hook=step_hook,
-                           step_chunk=step_chunk)
+                           x0=x0, r0=r0)
 
 
 def _batched_krylov(
@@ -117,18 +111,15 @@ def _batched_krylov(
     precondition: bool,
     x0: np.ndarray | None = None,
     r0: np.ndarray | None = None,
-    step_hook=None,
-    step_chunk: int = 32,
 ) -> BatchedSolveResult:
     """Traced entry: a ``pcg.batch`` span carrying iteration/retirement
     stats wraps the solve when tracing is on; the disabled path calls
     straight through with no stats bookkeeping at all."""
     tracer = get_tracer()
     if not tracer.enabled:
-        return _batched_krylov_impl(
-            system, rtol, atol, max_iter, precondition, x0, r0, None,
-            step_hook=step_hook, step_chunk=step_chunk,
-        )
+        return _BatchedSolve(
+            system, rtol, atol, max_iter, precondition, x0, r0,
+        ).run()
     stats = {"compactions": 0, "breakdowns": 0, "zero_iter_retired": 0}
     with tracer.span(
         "pcg.batch",
@@ -137,10 +128,9 @@ def _batched_krylov(
         preconditioned=precondition,
         warm_started=x0 is not None,
     ) as sp:
-        res = _batched_krylov_impl(
+        res = _BatchedSolve(
             system, rtol, atol, max_iter, precondition, x0, r0, stats,
-            step_hook=step_hook, step_chunk=step_chunk,
-        )
+        ).run()
         iters = res.iterations
         sp.set("iterations_total", int(iters.sum()))
         sp.set("iterations_max", int(iters.max()) if len(iters) else 0)
@@ -151,47 +141,14 @@ def _batched_krylov(
     return res
 
 
-def _batched_krylov_impl(
-    system: BatchedProductSystem,
-    rtol: float,
-    atol: float,
-    max_iter: int | None,
-    precondition: bool,
-    x0: np.ndarray | None,
-    r0: np.ndarray | None,
-    stats: dict | None,
-    step_hook=None,
-    step_chunk: int = 32,
-) -> BatchedSolveResult:
-    handle = BatchedSolveHandle(
-        system, rtol=rtol, atol=atol, max_iter=max_iter,
-        precondition=precondition, x0=x0, r0=r0, stats=stats,
-    )
-    if step_hook is None:
-        handle.step()
-    else:
-        # Chunked advance: the hook runs between iteration chunks (the
-        # pipelined executor's cooperative yield point).  The iteration
-        # sequence is identical to the one-shot run.
-        while not handle.done:
-            handle.step(step_chunk)
-            step_hook(handle)
-    return handle.result()
+class _BatchedSolve:
+    """One batched Krylov solve: setup in the constructor, then
+    :meth:`run` iterates until every pair has retired.
 
-
-class BatchedSolveHandle:
-    """A resumable batched Krylov solve.
-
-    The constructor performs the setup phase of the solve (initial
-    residual, zero-iteration warm-start retirements, CG state);
-    :meth:`step` advances by a bounded number of CG iterations and
-    returns how many were taken; :attr:`done` reports completion; and
-    :meth:`result` wraps up the outputs.  Running ``step()`` with no
-    bound until :attr:`done` performs exactly the same elementwise
-    NumPy operations, in the same order, as the one-shot entry points —
-    the split exists so a pipelined executor can interleave solve
-    iterations with the plan/fill stages of other tiles without
-    changing any numerics.
+    The constructor performs the setup phase (initial residual,
+    zero-iteration warm-start retirements, CG state); :meth:`_iterate`
+    is one CG iteration over the alive layout, and :meth:`_retire` /
+    :meth:`_compact` handle per-pair retirement and layout compaction.
     """
 
     def __init__(
@@ -302,10 +259,6 @@ class BatchedSolveHandle:
 
         self.it = 0
 
-    @property
-    def done(self) -> bool:
-        return not self.alive.any()
-
     def _retire(self, local_idx: np.ndarray, iters, ok: bool) -> None:
         """Write back results and freeze the retiring layout slots."""
         pair = self.pair_of[local_idx]
@@ -355,8 +308,7 @@ class BatchedSolveHandle:
         self.seglen = self.sysk.seg_lengths
 
     def _iterate(self) -> None:
-        """One CG iteration over the alive layout (the loop body of the
-        original one-shot solve, verbatim)."""
+        """One CG iteration over the alive layout."""
         sysk = self.sysk
         self.it += 1
         it = self.it
@@ -424,20 +376,10 @@ class BatchedSolveHandle:
         self.p += z
         self.rho = np.where(self.alive, rho_new, 1.0)
 
-    def step(self, max_steps: int | None = None) -> int:
-        """Advance by up to ``max_steps`` CG iterations (all remaining
-        when None); returns the number of iterations taken."""
-        steps = 0
-        while self.alive.any() and (max_steps is None or steps < max_steps):
+    def run(self) -> BatchedSolveResult:
+        """Iterate until every pair retires; return the outputs."""
+        while self.alive.any():
             self._iterate()
-            steps += 1
-        return steps
-
-    def result(self) -> BatchedSolveResult:
-        if not self.done:
-            raise RuntimeError(
-                "solve not finished: call step() until done before result()"
-            )
         return BatchedSolveResult(
             x=self.x_out,
             iterations=self.iters_out,

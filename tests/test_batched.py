@@ -32,6 +32,7 @@ from repro.kernels.linsys import (
     build_product_system,
     pair_bucket,
 )
+from repro.kernels.marginalized import normalized
 from repro.solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
 from repro.solvers.cg import cg_solve
 from repro.solvers.pcg import pcg_solve
@@ -215,18 +216,32 @@ def test_unbatchable_solver_falls_back():
 # ----------------------------------------------------------------------
 
 
-def _gram(engine_name, graphs, **engine_kw):
-    mgk = MarginalizedGraphKernel(NK, EK, q=0.2, engine=engine_name)
+def _gram(engine_name, graphs, q=0.2, **engine_kw):
+    mgk = MarginalizedGraphKernel(NK, EK, q=q, engine=engine_name)
     return GramEngine(mgk, **engine_kw).gram(graphs)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_engine_gram_matches_fused(seed):
+@pytest.mark.parametrize(
+    "seed, q",
+    [pytest.param(s, 0.2, id=str(s)) for s in SEEDS]
+    + [pytest.param(s, 0.0005, id=f"{s}-q0.0005") for s in SEEDS],
+)
+def test_engine_gram_matches_fused(seed, q):
     graphs = mixed_batch(seed)
-    batched = _gram("fused_batched", graphs, cache=False)
-    serial = _gram("fused", graphs, cache=False)
+    batched = _gram("fused_batched", graphs, q=q, cache=False)
+    serial = _gram("fused", graphs, q=q, cache=False)
     np.testing.assert_allclose(batched.matrix, serial.matrix, rtol=RTOL)
     assert np.abs(batched.iterations - serial.iterations).max() <= 2
+    if q < 0.01:
+        # The paper's hard regime (tiny stopping probability, long
+        # walks): the Section II invariants must hold on the
+        # production batched path, not just on the per-pair reference.
+        K = batched.matrix
+        assert batched.converged
+        assert np.array_equal(K, K.T)
+        Kn = normalized(K)
+        assert (Kn >= 0.0).all() and (Kn <= 1.0 + 1e-9).all()
+        assert np.linalg.eigvalsh(K).min() >= -1e-10 * np.abs(K).max()
 
 
 def test_engine_threads_matches_serial_bitwise():

@@ -1,0 +1,317 @@
+"""Out-of-core Gram engine tests.
+
+The load-bearing properties:
+
+* the mmap block store round-trips tile outcomes exactly, detects
+  corruption and torn writes (reads them as absent), and the engine's
+  rerun path recomputes exactly the missing tiles;
+* result matrices above the spill budget are memory-mapped and stay
+  bitwise equal to the in-RAM result;
+* the async offloader runs spill work off the solve path, counting
+  (never raising) its errors;
+* progress events stay ordered and monotone under concurrent tile
+  completion.
+"""
+
+from __future__ import annotations
+
+import glob
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from repro.engine import GramEngine, ProgressAggregator
+from repro.engine.block_store import (
+    GramBlockStore,
+    outcomes_to_rows,
+    rows_to_outcomes,
+)
+from repro.engine.offload import AsyncOffloader
+from repro.engine.progress import ProgressEvent
+from repro.graphs.generators import random_labeled_graph
+from repro.kernels.basekernels import synthetic_kernels
+from repro.kernels.marginalized import MarginalizedGraphKernel
+
+NK, EK = synthetic_kernels()
+
+
+def make_graphs(n, seed0=100):
+    # Mixed sizes so bucketing produces several shape buckets (dense,
+    # sparse, and solo tails) — the engine must handle all three.
+    return [
+        random_labeled_graph(4 + (k % 4), density=0.6, weighted=True,
+                             seed=seed0 + k)
+        for k in range(n)
+    ]
+
+
+def make_kernel(q=0.2, solver="pcg"):
+    return MarginalizedGraphKernel(
+        NK, EK, q=q, engine="fused_batched", solver=solver
+    )
+
+
+def make_engine(**kw):
+    kw.setdefault("batch_pairs", 16)  # force a multi-tile plan
+    return GramEngine(make_kernel(), **kw)
+
+
+GRAPHS = make_graphs(18)
+
+
+@pytest.fixture(scope="module")
+def barrier_result():
+    return make_engine().gram(GRAPHS)
+
+
+def assert_bitwise(res, ref):
+    assert np.array_equal(np.asarray(res.matrix), np.asarray(ref.matrix))
+    assert np.array_equal(
+        np.asarray(res.iterations), np.asarray(ref.iterations)
+    )
+
+
+# ---------------------------------------------------------------------------
+# block store
+# ---------------------------------------------------------------------------
+
+
+OUTCOMES = [
+    (0, 1, 0.123456789123456789, 7, True, 3.2e-13),
+    (2, 5, -1.0 / 3.0, 0, True, 0.0),
+    (3, 3, 1.7976931348623157e308, 12345, False, np.pi),
+]
+
+
+class TestBlockStore:
+    def test_rows_roundtrip_exact(self):
+        back = rows_to_outcomes(outcomes_to_rows(OUTCOMES))
+        assert back == OUTCOMES
+        for orig, rt in zip(OUTCOMES, back):
+            assert isinstance(rt[0], int) and isinstance(rt[3], int)
+            assert isinstance(rt[4], bool)
+
+    def test_put_get_roundtrip(self, tmp_path):
+        store = GramBlockStore(tmp_path)
+        rows = outcomes_to_rows(OUTCOMES)
+        store.put("ab" + "0" * 38, rows)
+        got = store.get("ab" + "0" * 38)
+        assert np.array_equal(np.asarray(got), rows)
+        assert isinstance(got, np.memmap)  # merge-on-read path
+        assert store.has("ab" + "0" * 38)
+        assert len(store) == 1 and store.nbytes > 0
+
+    def test_get_absent(self, tmp_path):
+        store = GramBlockStore(tmp_path)
+        assert store.get("ff" + "0" * 38) is None
+        assert store.stats.misses == 1
+
+    def test_corruption_detected(self, tmp_path):
+        store = GramBlockStore(tmp_path)
+        key = "cd" + "0" * 38
+        store.put(key, outcomes_to_rows(OUTCOMES))
+        path = store._block_path(key)
+        with open(path, "r+b") as fh:
+            fh.seek(90)
+            fh.write(b"\x99")
+        assert store.get(key) is None  # digest mismatch -> absent
+
+    def test_torn_write_reads_as_absent(self, tmp_path):
+        # A crash between data and sidecar leaves no sidecar: absent.
+        store = GramBlockStore(tmp_path)
+        key = "ee" + "0" * 38
+        store.put(key, outcomes_to_rows(OUTCOMES))
+        os.unlink(store._digest_path(key))
+        assert store.get(key) is None
+        assert not store.has(key)
+
+    def test_rejects_bad_shape(self, tmp_path):
+        store = GramBlockStore(tmp_path)
+        with pytest.raises(ValueError, match=r"\(k, 6\)"):
+            store.put("aa" + "0" * 38, np.zeros((3, 4)))
+
+    def test_clear(self, tmp_path):
+        store = GramBlockStore(tmp_path)
+        store.put("ab" + "0" * 38, outcomes_to_rows(OUTCOMES))
+        store.clear()
+        assert len(store) == 0
+
+
+class TestEngineSpill:
+    def test_rerun_serves_all_blocks(self, tmp_path, barrier_result):
+        e1 = make_engine(spill_dir=str(tmp_path))
+        r1 = e1.gram(GRAPHS)
+        d1 = r1.info["diagnostics"]
+        assert d1.blocks_written == d1.tiles > 0
+        e1.close()
+
+        e2 = make_engine(spill_dir=str(tmp_path), cache=False)
+        r2 = e2.gram(GRAPHS)
+        d2 = r2.info["diagnostics"]
+        e2.close()
+        assert d2.solves == 0
+        assert d2.blocks_served == d1.tiles
+        assert_bitwise(r2, barrier_result)
+
+    def test_partial_spill_crash_recovery(self, tmp_path, barrier_result):
+        e1 = make_engine(spill_dir=str(tmp_path))
+        d1 = e1.gram(GRAPHS).info["diagnostics"]
+        e1.close()
+        # Simulate a crash mid-spill: one block torn (no sidecar), one
+        # corrupted in place.
+        npys = sorted(glob.glob(str(tmp_path / "blocks" / "*" / "*.npy")))
+        assert len(npys) >= 2
+        os.unlink(npys[0][:-4] + ".sha1")
+        with open(npys[1], "r+b") as fh:
+            fh.seek(100)
+            fh.write(b"\xff")
+
+        e2 = make_engine(spill_dir=str(tmp_path), cache=False)
+        r2 = e2.gram(GRAPHS)
+        d2 = r2.info["diagnostics"]
+        e2.close()
+        assert d2.blocks_served == d1.tiles - 2  # only the damaged two
+        assert d2.blocks_written == 2            # ...are recomputed
+        assert_bitwise(r2, barrier_result)
+
+    def test_out_of_core_result_matrix(self, tmp_path, barrier_result):
+        eng = make_engine(spill_dir=str(tmp_path), spill_bytes=64)
+        res = eng.gram(GRAPHS)
+        eng.close()
+        assert isinstance(res.matrix, np.memmap)
+        assert isinstance(res.iterations, np.memmap)
+        assert_bitwise(res, barrier_result)
+
+    def test_small_results_stay_in_ram(self, tmp_path):
+        eng = make_engine(spill_dir=str(tmp_path))
+        res = eng.gram(GRAPHS)
+        eng.close()
+        assert not isinstance(res.matrix, np.memmap)
+
+    def test_context_manager_closes_offloader(self, tmp_path):
+        with make_engine(spill_dir=str(tmp_path)) as eng:
+            eng.gram(GRAPHS[:4])
+            off = eng.offloader
+        assert off.pending == 0
+        assert not off._thread.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# async offloader
+# ---------------------------------------------------------------------------
+
+
+class TestAsyncOffloader:
+    def test_runs_jobs_and_flushes(self):
+        seen = []
+        with AsyncOffloader() as off:
+            for k in range(20):
+                assert off.submit(seen.append, k)
+            assert off.flush(timeout=5.0) == 0  # drained, no errors
+            assert seen == list(range(20))
+        assert off.completed == 20
+
+    def test_errors_counted_not_raised(self):
+        def boom():
+            raise ValueError("spill failed")
+
+        with AsyncOffloader() as off:
+            off.submit(boom)
+            assert off.flush(timeout=5.0) == 1  # error count surfaced
+            assert off.errors == 1
+            assert isinstance(off.last_error, ValueError)
+            stats = off.stats()
+            assert stats["errors"] == 1
+            assert "ValueError" in stats["last_error"]
+
+    def test_submit_after_close_refused(self):
+        off = AsyncOffloader()
+        assert off.close()
+        assert not off.submit(print, "late")
+        assert off.close()  # idempotent
+
+
+# ---------------------------------------------------------------------------
+# progress ordering under concurrent completion
+# ---------------------------------------------------------------------------
+
+
+def _tile_event(k, pairs_done, structure_hits=0):
+    return ProgressEvent(
+        phase="tile", tiles_done=k, tiles_total=8, pairs_done=pairs_done,
+        pairs_total=100, solves=pairs_done, cache_hits=0,
+        elapsed=float(k), structure_hits=structure_hits,
+    )
+
+
+class TestProgressAggregator:
+    def test_reorders_out_of_order_events(self):
+        got = []
+        agg = ProgressAggregator(got.append)
+        for k in (2, 1, 4, 3):
+            agg(_tile_event(k, pairs_done=10 * k))
+        assert [e.tiles_done for e in got] == [1, 2, 3, 4]
+        assert agg.reordered > 0
+
+    def test_monotone_counters_never_undercount(self):
+        got = []
+        agg = ProgressAggregator(got.append)
+        # Tile 2's event carries *staler* cumulative counters than tile
+        # 1's (a racing emitter snapshotted early): delivery must clamp
+        # to the running floor, never report structure work undone.
+        agg(_tile_event(1, pairs_done=50, structure_hits=3))
+        agg(_tile_event(2, pairs_done=40, structure_hits=1))
+        assert [e.pairs_done for e in got] == [50, 50]
+        assert [e.structure_hits for e in got] == [3, 3]
+        assert agg.clamped == 1
+
+    def test_done_flushes_stragglers_in_order(self):
+        got = []
+        agg = ProgressAggregator(got.append)
+        agg(_tile_event(1, 10))
+        agg(_tile_event(4, 40))  # 2 and 3 never arrive in order
+        agg(_tile_event(3, 30))
+        agg(ProgressEvent(
+            phase="done", tiles_done=8, tiles_total=8, pairs_done=100,
+            pairs_total=100, solves=100, cache_hits=0, elapsed=9.0,
+        ))
+        assert [e.tiles_done for e in got] == [1, 3, 4, 8]
+        assert got[-1].phase == "done"
+
+    def test_threaded_emission_serializes(self):
+        got = []
+        agg = ProgressAggregator(got.append)
+        events = [_tile_event(k, 10 * k) for k in range(1, 33)]
+        rng = np.random.default_rng(0)
+        chunks = [events[k::4] for k in range(4)]
+        for c in chunks:
+            rng.shuffle(c)
+        threads = [
+            threading.Thread(target=lambda c=c: [agg(e) for e in c])
+            for c in chunks
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        agg(ProgressEvent(
+            phase="done", tiles_done=32, tiles_total=8, pairs_done=320,
+            pairs_total=100, solves=320, cache_hits=0, elapsed=99.0,
+        ))
+        tiles = [e.tiles_done for e in got if e.phase == "tile"]
+        assert tiles == sorted(tiles)
+        pairs = [e.pairs_done for e in got]
+        assert pairs == sorted(pairs)
+
+    def test_engine_events_ordered_and_monotone(self):
+        events = []
+        eng = make_engine(progress=events.append)
+        eng.gram(GRAPHS)
+        assert events[-1].phase == "done"
+        tiles = [e.tiles_done for e in events]
+        assert tiles == sorted(tiles)
+        pairs = [e.pairs_done for e in events]
+        assert pairs == sorted(pairs)
+        assert events[-1].pairs_done == events[-1].pairs_total
